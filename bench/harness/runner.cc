@@ -72,6 +72,9 @@ void Preload(Store& store, const ExperimentConfig& cfg) {
   for (int guard = 0; guard < 1000000 && !*loaded; ++guard) {
     if (!store.sim().Step()) break;
   }
+  // `*next` captures `next` itself; swapping in a no-op breaks the
+  // cycle (a callback still pending in the store then does nothing).
+  *next = [] {};
 }
 
 ExperimentResult Collect(RunMetrics metrics, const NetworkStats& net,

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/histogram.h"
@@ -21,7 +22,9 @@ namespace wedge {
 /// under threads), and the SHA-256 backend the run dispatched to — a
 /// record hashed with SHA-NI is not comparable to a scalar one, and the
 /// forced flag distinguishes CI's pinned-scalar legs from detection.
-/// Call right after the opening brace.
+/// `num_cpus` is the host's hardware thread count: a threaded run on one
+/// core is not comparable to one on four. Call right after the opening
+/// brace.
 inline void AppendRuntimeStampJson(FILE* f,
                                    RuntimeKind kind = RuntimeKind::kSim) {
   const std::string_view runtime = RuntimeKindToString(kind);
@@ -33,12 +36,13 @@ inline void AppendRuntimeStampJson(FILE* f,
                "\"runtime\": \"%.*s\", \"time_unit\": \"%.*s\", "
                "\"crypto_backend\": \"%.*s\", "
                "\"crypto_backend_detected\": \"%.*s\", "
-               "\"crypto_backend_forced\": %s, ",
+               "\"crypto_backend_forced\": %s, \"num_cpus\": %u, ",
                static_cast<int>(runtime.size()), runtime.data(),
                static_cast<int>(unit.size()), unit.data(),
                static_cast<int>(backend.size()), backend.data(),
                static_cast<int>(detected.size()), detected.data(),
-               Sha256::BackendForced() ? "true" : "false");
+               Sha256::BackendForced() ? "true" : "false",
+               std::thread::hardware_concurrency());
 }
 
 class TablePrinter {

@@ -142,10 +142,11 @@ struct AsyncOpState {
 
 /// First-wins settle. Returns true iff this call settled the slot; the
 /// registered callback (if any) fires outside the lock, on the settling
-/// context.
+/// context. `on_settled` runs first when this call settles, so a stat
+/// it counts is visible to whoever the callback wakes.
 template <typename T>
 bool SettleOp(const std::shared_ptr<AsyncOpState<T>>& st, const Status& s,
-              T value) {
+              T value, const std::function<void()>& on_settled = nullptr) {
   std::function<void(const Status&, const T&)> cb;
   {
     std::lock_guard<std::mutex> lock(st->mu);
@@ -156,6 +157,7 @@ bool SettleOp(const std::shared_ptr<AsyncOpState<T>>& st, const Status& s,
     cb = std::move(st->on_done);
     st->on_done = nullptr;
   }
+  if (on_settled) on_settled();
   st->rt->RunOnCompletion([&] { st->done = true; });
   if (cb) cb(st->status, st->result);
   return true;
@@ -185,9 +187,11 @@ struct AsyncCommitState {
 /// first-wins per phase. Settling Phase II force-settles a still-open
 /// Phase I with the same outcome first, so the per-handle invariant
 /// "Phase I settled before Phase II" holds even on the deadline/cancel
-/// paths. Returns true iff any phase settled.
+/// paths. Returns true iff any phase settled; `on_settled` then runs
+/// before any callback, as in SettleOp.
 inline bool SettleCommit(const std::shared_ptr<AsyncCommitState>& st,
-                         bool phase2, const Status& s, const Commit& c) {
+                         bool phase2, const Status& s, const Commit& c,
+                         const std::function<void()>& on_settled = nullptr) {
   std::function<void(const Status&, const Commit&)> cb1, cb2;
   bool fire1 = false, fire2 = false;
   Status s1, s2;
@@ -218,6 +222,7 @@ inline bool SettleCommit(const std::shared_ptr<AsyncCommitState>& st,
     c2 = st->phase2;
   }
   if (!fire1 && !fire2) return false;
+  if (on_settled) on_settled();
   st->rt->RunOnCompletion([&] {
     if (fire1) st->phase1_done = true;
     if (fire2) st->phase2_done = true;
@@ -266,10 +271,9 @@ class AsyncOp {
   /// request (if admitted) still runs to completion down in the
   /// deployment; only this observation is abandoned.
   void Cancel() {
-    if (api_internal::SettleOp<T>(state_, Status::Cancelled("cancelled"),
-                                  T{})) {
-      state_->gate->CountCancelled();
-    }
+    api_internal::AsyncGate* gate = state_->gate;
+    api_internal::SettleOp<T>(state_, Status::Cancelled("cancelled"), T{},
+                              [gate] { gate->CountCancelled(); });
   }
 
   /// Synchronous wrapper: pumps the runtime until the handle settles
@@ -335,10 +339,10 @@ class AsyncCommit {
 
   /// Settles every still-open phase with Cancelled (Phase I first).
   void Cancel() {
-    if (api_internal::SettleCommit(state_, /*phase2=*/true,
-                                   Status::Cancelled("cancelled"), Commit{})) {
-      state_->gate->CountCancelled();
-    }
+    api_internal::AsyncGate* gate = state_->gate;
+    api_internal::SettleCommit(state_, /*phase2=*/true,
+                               Status::Cancelled("cancelled"), Commit{},
+                               [gate] { gate->CountCancelled(); });
   }
 
   /// Synchronous wrappers over the phase completions (see CommitHandle).

@@ -142,6 +142,9 @@ class ShardRouter : public StoreBackend, public ShardMigrationHost {
               std::shared_ptr<OwnershipTable> table, size_t logical_clients,
               VerifierCache::Limits cache_unit, ReshardingConfig resharding,
               BalancerPolicy balancer = {});
+  /// Stops the runtime's workers before the coordinator and balancer
+  /// they may still be running are destroyed (inner_ goes last).
+  ~ShardRouter() override { inner_->runtime().Shutdown(); }
 
   BackendKind kind() const override { return inner_->kind(); }
   void Start() override {

@@ -112,18 +112,6 @@ Status ValidateOptions(const StoreOptions& options) {
         "sharding (interleaved ownership cannot be split); use "
         "ShardScheme::kRange for resharding");
   }
-  // The drain floor binds every migration-capable config: a split needs
-  // a spare slot, but a merge runs between two live neighbours with no
-  // spare at all — either way writes in flight at fence time must reach
-  // the source before the export snapshot.
-  const bool can_migrate = sh.slots() >= 2 && sh.range_expressible();
-  if (can_migrate &&
-      options.resharding.drain_delay < 2 * d.edge.partial_flush_delay) {
-    return Status::InvalidArgument(
-        "StoreOptions: resharding drain_delay must comfortably exceed "
-        "the edge partial_flush_delay (>= 2x), or writes in flight at "
-        "fence time could miss the migration export");
-  }
   if (options.retry.enabled && options.retry.max_attempts == 0) {
     return Status::InvalidArgument(
         "StoreOptions: facade retry must bound its attempts "
@@ -141,7 +129,7 @@ Status ValidateOptions(const StoreOptions& options) {
     // The autonomous lifecycle actuates through SplitShard/MergeShards,
     // so it needs a routed store with range-expressible ownership: a
     // policy that could never act is a misconfiguration, not a no-op.
-    if (!can_migrate) {
+    if (sh.slots() < 2 || !sh.range_expressible()) {
       return Status::InvalidArgument(
           "StoreOptions: WithAutoBalance needs a splittable sharded "
           "store (WithShards(n, ShardScheme::kRange, span), or a single "
@@ -245,11 +233,9 @@ std::shared_ptr<AsyncCommitState> IssueWrite(
       });
   if (opts.deadline > 0) {
     rt->ControlExecutor()->After(opts.deadline, [state, gate] {
-      if (SettleCommit(state, /*phase2=*/true,
-                       Status::DeadlineExceeded("async op deadline"),
-                       Commit{})) {
-        gate->CountDeadlineExpired();
-      }
+      SettleCommit(state, /*phase2=*/true,
+                   Status::DeadlineExceeded("async op deadline"), Commit{},
+                   [gate] { gate->CountDeadlineExpired(); });
     });
   }
   return state;
@@ -347,10 +333,8 @@ AsyncOp<T> IssueAsyncRead(const std::shared_ptr<StoreCore>& core,
   });
   if (opts.deadline > 0) {
     rt->ControlExecutor()->After(opts.deadline, [state, gate] {
-      if (SettleOp<T>(state, Status::DeadlineExceeded("async op deadline"),
-                      T{})) {
-        gate->CountDeadlineExpired();
-      }
+      SettleOp<T>(state, Status::DeadlineExceeded("async op deadline"), T{},
+                  [gate] { gate->CountDeadlineExpired(); });
     });
   }
   return AsyncOp<T>(core, state);

@@ -22,10 +22,10 @@ struct RetryPolicy {
 
 struct EdgeConfig {
   /// Buffer-full threshold: entries per block (the paper's batch size).
+  /// A partially filled block closes as soon as no further write request
+  /// is queued at the edge (group commit), so a block holds what arrived
+  /// together, up to this many entries.
   size_t ops_per_block = 100;
-  /// Flush a partially filled buffer after this long (0 disables). Keeps
-  /// low-rate clients from waiting forever.
-  SimTime partial_flush_delay = 50 * kMillisecond;
   /// LSMerkle structure; the paper's evaluation uses thresholds
   /// {10, 10, 100, 1000} (§VI).
   LsmConfig lsm;
@@ -43,8 +43,9 @@ struct EdgeConfig {
   /// or crash-lost block triggers a backup fetch instead of a negative
   /// response. Requires the cloud to run with backup_blocks.
   bool backup_fetch = false;
-  /// Re-send block-certify messages whose proof has not arrived, with
-  /// bounded exponential backoff. This is what drains the Phase II
+  /// Re-send block-certify messages whose proof has not arrived within
+  /// the current backoff, with bounded exponential backoff; younger
+  /// certifies are left alone. This is what drains the Phase II
   /// backlog after a cloud outage heals: the cloud treats a re-certify
   /// of an already-known digest as an idempotent duplicate and resends
   /// the proof. The retry timer is armed only while uncertified blocks

@@ -60,6 +60,7 @@ void EdgeNode::OnMessage(NodeId from, Slice payload, SimTime now) {
       const bool is_kv = env->type == MsgType::kPutRequest;
       // Foreground lane: serialized batch handling + parallelizable tail.
       const SimTime serial = costs_.EdgeBatchSerial(req->entries.size());
+      writes_queued_++;
       fg_->ExecuteAfter(serial, costs_.edge_batch_parallel,
                         [this, from, r = std::move(*req), is_kv] {
                           HandleWrite(from, r, is_kv, exec_->Now());
@@ -132,6 +133,7 @@ void EdgeNode::OnMessage(NodeId from, Slice payload, SimTime now) {
 
 void EdgeNode::HandleWrite(NodeId from, const AddRequest& req, bool is_kv,
                            SimTime now) {
+  writes_queued_--;
   // A kv/raw transition flushes the current buffer so a block is never
   // mixed (L0 pages must parse as puts).
   if (builder_.pending() > 0 && buffer_is_kv_ != is_kv) {
@@ -169,8 +171,15 @@ void EdgeNode::HandleWrite(NodeId from, const AddRequest& req, bool is_kv,
       FinishBlock(std::move(*block), is_kv, now);
     }
   }
-  if (builder_.pending() > 0) {
-    ScheduleFlushTimer();
+  // Group commit: the open block closes once no further write is queued
+  // behind this one. Deferring the close past the executor's queued
+  // messages lets writes already delivered there join the block.
+  if (writes_queued_ == 0 && builder_.pending() > 0 && !close_deferred_) {
+    close_deferred_ = true;
+    exec_->Defer([this] {
+      close_deferred_ = false;
+      if (writes_queued_ == 0) FormBlock(buffer_is_kv_, exec_->Now());
+    });
   }
 }
 
@@ -181,7 +190,6 @@ void EdgeNode::FormBlock(bool is_kv, SimTime now) {
 }
 
 void EdgeNode::FinishBlock(Block block, bool is_kv, SimTime now) {
-  flush_generation_++;
   const BlockId bid = block.id;
   (void)log_.Append(block);
   stats_.blocks_formed++;
@@ -242,7 +250,7 @@ void EdgeNode::FinishBlock(Block block, bool is_kv, SimTime now) {
     const SimTime cost = costs_.EdgeCert(block.ByteSize());
     std::optional<Block> full;
     if (config_.ship_full_blocks) full = block;
-    pending_certify_[bid] = PendingCertify{digest, is_kv};
+    pending_certify_[bid] = PendingCertify{digest, is_kv, now};
     bg_->Execute(cost, [this, bid, digest, is_kv, full = std::move(full)] {
       BlockCertify msg;
       msg.bid = bid;
@@ -552,19 +560,6 @@ void EdgeNode::HandleMergeResponse(const MergeResponse& resp, SimTime now) {
   MaybeStartMerge(now, /*noop=*/false);
 }
 
-void EdgeNode::ScheduleFlushTimer() {
-  if (config_.partial_flush_delay <= 0) return;
-  const uint64_t gen = flush_generation_;
-  exec_->After(config_.partial_flush_delay, [this, gen] {
-    // Only flush if no block has formed since the timer was armed.
-    if (flush_generation_ == gen && builder_.pending() > 0) {
-      fg_->Execute(costs_.EdgeBatchSerial(0), [this] {
-        FormBlock(buffer_is_kv_, exec_->Now());
-      });
-    }
-  });
-}
-
 void EdgeNode::ScheduleCertifyRetry() {
   const RetryPolicy& policy = config_.certify_retry;
   if (!policy.enabled || retry_timer_armed_ || pending_certify_.empty()) {
@@ -580,18 +575,25 @@ void EdgeNode::ScheduleCertifyRetry() {
     if (gen != restart_generation_) return;  // crashed since arming
     retry_timer_armed_ = false;
     if (pending_certify_.empty()) return;  // proofs arrived in time
-    retry_attempts_++;
-    ResendPendingCertifies();
-    retry_backoff_ = std::min<SimTime>(
-        config_.certify_retry.max_backoff,
-        static_cast<SimTime>(static_cast<double>(retry_backoff_) *
-                             config_.certify_retry.multiplier));
+    // Only a certify older than the backoff counts as a failed attempt;
+    // a healthy edge under steady writes always has fresh ones pending.
+    if (ResendStaleCertifies(exec_->Now()) > 0) {
+      retry_attempts_++;
+      retry_backoff_ = std::min<SimTime>(
+          config_.certify_retry.max_backoff,
+          static_cast<SimTime>(static_cast<double>(retry_backoff_) *
+                               config_.certify_retry.multiplier));
+    }
     ScheduleCertifyRetry();
   });
 }
 
-void EdgeNode::ResendPendingCertifies() {
-  for (const auto& [bid, pending] : pending_certify_) {
+size_t EdgeNode::ResendStaleCertifies(SimTime now) {
+  size_t resent = 0;
+  for (auto& [bid, pending] : pending_certify_) {
+    if (now - pending.sent_at < retry_backoff_) continue;
+    pending.sent_at = now;
+    resent++;
     BlockCertify msg;
     msg.bid = bid;
     msg.digest = pending.digest;
@@ -602,6 +604,7 @@ void EdgeNode::ResendPendingCertifies() {
     SendSealed(cloud_, MsgType::kBlockCertify, msg.Encode());
     stats_.certify_retries++;
   }
+  return resent;
 }
 
 void EdgeNode::DropVolatileState() {
@@ -617,7 +620,6 @@ void EdgeNode::DropVolatileState() {
   last_seq_.clear();
   pending_certify_.clear();
   buffer_is_kv_ = false;
-  flush_generation_++;
   restart_generation_++;
   retry_backoff_ = 0;
   retry_attempts_ = 0;

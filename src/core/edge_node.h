@@ -133,10 +133,11 @@ class EdgeNode : public Endpoint {
   void HandleMergeResponse(const MergeResponse& resp, SimTime now);
   void HandleBackupBlocks(const BackupBlocks& resp, SimTime now);
   void MaybeStartMerge(SimTime now, bool noop);
-  void ScheduleFlushTimer();
   void ScheduleNoopTimer();
   void ScheduleCertifyRetry();
-  void ResendPendingCertifies();
+  /// Re-sends every pending certify last sent at least one backoff ago;
+  /// returns how many went out.
+  size_t ResendStaleCertifies(SimTime now);
 
   GetResponseBody AssembleGetResponse(Key key) const;
 
@@ -179,8 +180,13 @@ class EdgeNode : public Endpoint {
   /// Whether the buffered entries are puts (kv) or raw adds. Mixed
   /// buffers are flushed on transition.
   bool buffer_is_kv_ = false;
+  /// Write requests accepted by OnMessage whose HandleWrite has not run
+  /// yet. The open block closes when this drains to zero (group commit).
+  /// Not reset by DropVolatileState: the queued handlers still run.
+  size_t writes_queued_ = 0;
+  /// A block close is deferred behind the executor's queued messages.
+  bool close_deferred_ = false;
 
-  uint64_t flush_generation_ = 0;
   SimTime last_merge_time_ = 0;
 
   /// Blocks certified but not yet proven: digest+kind per block id, so a
@@ -189,6 +195,8 @@ class EdgeNode : public Endpoint {
   struct PendingCertify {
     Digest256 digest;
     bool is_kv = false;
+    /// When the certify was last (re)sent.
+    SimTime sent_at = 0;
   };
   std::map<BlockId, PendingCertify> pending_certify_;
   SimTime retry_backoff_ = 0;

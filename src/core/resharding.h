@@ -19,8 +19,10 @@
 //                 layer, acked through FenceRange's callback), AND the
 //                 ReshardingConfig::drain_delay settle window has
 //                 elapsed. The gauge makes the gate exact on any
-//                 runtime; the timer keeps a floor for writes buffered
-//                 below the routing layer (partial-flush queues).
+//                 runtime: an edge closes a block as soon as its write
+//                 queue drains (group commit), so no acked write sits
+//                 buffered below the routing layer. The timer is only a
+//                 minimum settle window on top.
 //   3. export   — the source edge serves the moving range as one
 //                 completeness-verified scan. A lying source (truncated
 //                 or tampered export) surfaces here as SecurityViolation
@@ -62,11 +64,7 @@ struct ReshardingConfig {
   /// Minimum settle window between fencing the moving range and the
   /// export scan. The export additionally waits for explicit source
   /// quiescence (FenceRange's callback: every pre-fence write reached
-  /// its Phase-I commit), so this timer exists for writes buffered
-  /// *below* the routing layer (at the edge awaiting a partial flush).
-  /// Must comfortably exceed EdgeConfig::partial_flush_delay —
-  /// Store::Open enforces a floor of 2x the partial-flush delay on
-  /// sharded stores.
+  /// its Phase-I commit), which alone makes the export complete.
   SimTime drain_delay = 500 * kMillisecond;
   /// Ceiling on one migration attempt, measured from the
   /// fence. A source or destination edge that crashes mid-migration

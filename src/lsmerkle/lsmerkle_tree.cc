@@ -26,7 +26,9 @@ Status LsmerkleTree::ApplyBlock(Block block) {
 }
 
 std::optional<size_t> LsmerkleTree::NeedsMerge() const {
-  if (l0_.size() > config_.level_thresholds[0]) return 0;
+  // Deeper levels go before L0. Under steady writes L0 refills past its
+  // threshold while each merge is in flight, so an L0-first order would
+  // starve L1 and every L0 merge would rewrite an ever larger L1.
   // The last level has nowhere to merge into — it simply grows past its
   // threshold (the classic LSM bottom level). Proposing a merge from it
   // would be rejected by the cloud as malicious.
@@ -35,6 +37,7 @@ std::optional<size_t> LsmerkleTree::NeedsMerge() const {
       return i + 1;
     }
   }
+  if (l0_.size() > config_.level_thresholds[0]) return 0;
   return std::nullopt;
 }
 

@@ -67,8 +67,9 @@ class LsmerkleTree {
 
   // ---- merging ----
 
-  /// The lowest level whose size exceeds its threshold, if any. Merging
-  /// that level into the next is the edge's next maintenance step.
+  /// The level to merge into the next as the edge's next maintenance
+  /// step, if any: the shallowest overflowing level >= 1, else L0 when
+  /// it is over its threshold.
   std::optional<size_t> NeedsMerge() const;
 
   /// True while a merge round-trip with the cloud is outstanding. The

@@ -40,8 +40,8 @@ class BoundedMpscQueue {
     return true;
   }
 
-  /// Non-blocking push: false if full or closed.
-  bool TryPush(T item) {
+  /// Non-blocking push: false if full or closed, leaving `item` intact.
+  bool TryPush(T& item) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || items_.size() >= capacity_) return false;

@@ -20,7 +20,7 @@
 // The cost/timer distinction is load-bearing: CostModel charges
 // (Executor::Charge, Lane::Execute) model CPU occupancy and are no-delay
 // pass-throughs under threads, where the real computation already ran;
-// protocol timers (Executor::After — proof timeouts, flush timers,
+// protocol timers (Executor::After — proof timeouts, retry backoffs,
 // gossip periods) are honored on both runtimes, as virtual respectively
 // wall delays. See DESIGN.md §Runtime.
 
@@ -157,8 +157,14 @@ class Executor : public Clock {
   virtual void Post(std::function<void()> fn) = 0;
 
   /// Runs `fn` after `delay` — a real protocol timer (proof timeout,
-  /// flush delay, gossip period), honored on both runtimes.
+  /// retry backoff, gossip period), honored on both runtimes.
   virtual void After(SimTime delay, std::function<void()> fn) = 0;
+
+  /// Runs `fn` on this executor after the work already queued for it,
+  /// delivered messages included; call from the executor's own context.
+  /// Inline under the simulator, where a node's queued work waits in
+  /// its lanes. Under threads `fn` joins the back of the inbox.
+  virtual void Defer(std::function<void()> fn) = 0;
 
   /// Charges `cost` of modeled CPU work, then runs `fn`. Under the
   /// simulator this is a virtual-time delay (the CostModel); under

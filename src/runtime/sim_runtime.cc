@@ -50,6 +50,7 @@ class SimRuntime::SimExecutor : public Executor {
 
   SimTime Now() const override { return sim_->now(); }
   void Post(std::function<void()> fn) override { fn(); }
+  void Defer(std::function<void()> fn) override { fn(); }
   void After(SimTime delay, std::function<void()> fn) override {
     sim_->ScheduleAfter(delay, std::move(fn));
   }

@@ -38,12 +38,23 @@ void Worker::Post(Task fn) {
 void Worker::After(SimTime delay, Task fn) {
   const TimePoint at =
       std::chrono::steady_clock::now() + std::chrono::microseconds(delay);
+  bool earliest;
   {
     std::lock_guard<std::mutex> lock(timer_mu_);
-    timers_.emplace(at, std::move(fn));
+    auto it = timers_.emplace(at, std::move(fn));
+    earliest = it == timers_.begin();
   }
-  // The worker may be waiting with a later (or no) deadline.
-  inbox_.Nudge();
+  // Only a new earliest timer can be due before the deadline the worker
+  // waits on, and the worker's own thread re-reads the heap before it
+  // next waits.
+  if (earliest && g_current_worker != this) inbox_.Nudge();
+}
+
+void Worker::PostBehindInbox(Task fn) {
+  if (g_current_worker != this) return Post(std::move(fn));
+  // A full or closed inbox cannot take it; the self deque still runs it
+  // without blocking this thread on its own inbox.
+  if (!inbox_.TryPush(fn)) self_.push_back(std::move(fn));
 }
 
 SimTime Worker::Now() const {
@@ -244,6 +255,9 @@ class ThreadedRuntime::ThreadedExecutor : public Executor {
   SimTime Now() const override { return worker_->Now(); }
   void Post(std::function<void()> fn) override {
     worker_->Post(std::move(fn));
+  }
+  void Defer(std::function<void()> fn) override {
+    worker_->PostBehindInbox(std::move(fn));
   }
   void After(SimTime delay, std::function<void()> fn) override {
     worker_->After(delay, std::move(fn));

@@ -15,7 +15,7 @@
 // Time is wall-clock microseconds since runtime construction. CostModel
 // charges (Executor::Charge, Lane costs) are no-delay pass-throughs: the
 // real SHA-256/HMAC work already ran inline on the worker. Protocol
-// timers (Executor::After — proof timeouts, flush delays) are honored as
+// timers (Executor::After — proof timeouts, retry backoffs) are honored as
 // wall time via each worker's timer heap. See DESIGN.md §Runtime.
 //
 // Failure injection runs through the same FaultPlane seam as the
@@ -71,6 +71,11 @@ class Worker {
   /// from this worker's own thread, where it goes to the self deque.
   /// Silently dropped after Close().
   void Post(Task fn);
+
+  /// Enqueues `fn` behind the inbox's queued tasks, so it runs after
+  /// them and after the continuations they post. From another thread
+  /// this is Post.
+  void PostBehindInbox(Task fn);
 
   /// Arms a timer `delay` wall-microseconds from now.
   void After(SimTime delay, Task fn);

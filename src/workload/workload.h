@@ -55,7 +55,7 @@ struct WorkloadSpec {
   double hot_range_fraction = 0.0;
   /// Sharded writer ergonomics: the router splits every batch per owning
   /// shard, so a fixed batch split n ways under-fills every edge's block
-  /// and pays the partial-flush delay in Phase I latency. With this on
+  /// (n times the blocks, certifies and merges). With this on
   /// (default), the driver treats ops_per_batch as *per shard* and
   /// buffers ops_per_batch × shards per flush, so split sub-batches
   /// still fill blocks. No effect on unsharded stores.

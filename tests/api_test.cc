@@ -236,7 +236,8 @@ TEST(CommitHandleTest, WedgePhase1CommitsBeforePhase2) {
   Store store = std::move(*opened);
 
   CommitHandle h = store.Put(42, Val(1));
-  // One put of a 4-op block: the partial-flush timer forms the block.
+  // One put of a 4-op block: the edge closes the block once its write
+  // queue drains.
   auto p1 = h.WaitPhase1();
   ASSERT_TRUE(p1.ok()) << p1.status();
   EXPECT_TRUE(h.phase1_done());

@@ -76,22 +76,83 @@ TEST(CoreAddTest, PhaseOneThenPhaseTwo) {
   EXPECT_EQ(d.client().stats().disputes_sent, 0u);
 }
 
-TEST(CoreAddTest, PartialBatchFlushedByTimer) {
+TEST(CoreAddTest, LonePutClosesItsBlockWithoutWaiting) {
   auto cfg = BaseConfig();
-  cfg.edge.ops_per_block = 100;  // batch smaller than the block threshold
-  cfg.edge.partial_flush_delay = 40 * kMillisecond;
+  cfg.edge.ops_per_block = 100;  // far more than one put
   Deployment d(cfg);
   d.Start();
 
   SimTime t_phase1 = -1;
-  d.client().AddBatch(Payloads(5), [&](const Status& s, BlockId, SimTime t) {
+  d.client().PutBatch(Puts({1}, 1), [&](const Status& s, BlockId, SimTime t) {
     ASSERT_TRUE(s.ok());
     t_phase1 = t;
   });
   d.sim().RunFor(kSecond);
   ASSERT_GE(t_phase1, 0);
-  // The flush timer (40 ms) had to fire first.
-  EXPECT_GT(t_phase1, 40 * kMillisecond);
+  // Group commit: nothing else is queued at the edge, so the block
+  // closes as soon as the put is applied. Phase I is the local round
+  // trip plus the modeled sign, batch and verify costs (plus 1 ms for
+  // transfer), not a flush timer.
+  const CostModel& c = cfg.costs;
+  EXPECT_LE(t_phase1, c.client_sign + 2 * cfg.net.local_one_way +
+                          c.EdgeBatchSerial(1) + c.edge_batch_parallel +
+                          c.client_verify_add + kMillisecond);
+  EXPECT_EQ(d.edge().log().size(), 1u);
+  EXPECT_EQ(d.edge().log().GetBlock(0)->entries.size(), 1u);
+}
+
+TEST(CoreAddTest, WritesQueuedBehindBusyLaneShareOneBlock) {
+  auto cfg = BaseConfig();
+  cfg.num_clients = 3;
+  cfg.edge.ops_per_block = 100;
+  Deployment d(cfg);
+  d.Start();
+
+  int phase2 = 0;
+  auto on_phase2 = [&](const Status& s, BlockId bid, SimTime) {
+    if (s.ok() && bid == 0) phase2++;
+  };
+  d.client(0).AddBatch(Payloads(1, 0), nullptr, on_phase2);
+  // The edge's foreground lane is still busy with client 0's batch when
+  // the other two arrive; they queue behind it and join its block.
+  d.sim().RunFor(kMillisecond);
+  ASSERT_GT(cfg.costs.EdgeBatchSerial(1), kMillisecond);
+  d.client(1).AddBatch(Payloads(1, 1), nullptr, on_phase2);
+  d.client(2).AddBatch(Payloads(1, 2), nullptr, on_phase2);
+  d.sim().RunFor(5 * kSecond);
+
+  EXPECT_EQ(phase2, 3);
+  EXPECT_EQ(d.edge().log().size(), 1u);
+  EXPECT_EQ(d.edge().log().GetBlock(0)->entries.size(), 3u);
+}
+
+TEST(CoreAddTest, KvRawSwitchSplitsQueuedWrites) {
+  auto cfg = BaseConfig();
+  cfg.num_clients = 3;
+  cfg.edge.ops_per_block = 100;
+  Deployment d(cfg);
+  d.Start();
+
+  int phase2 = 0;
+  auto on_phase2 = [&](const Status& s, BlockId, SimTime) {
+    if (s.ok()) phase2++;
+  };
+  // Queued together, but put / append / put: a block never mixes puts
+  // and raw appends, so each transition closes the open block.
+  d.client(0).PutBatch(Puts({1}, 1), nullptr, on_phase2);
+  d.client(1).AddBatch(Payloads(1), nullptr, on_phase2);
+  d.client(2).PutBatch(Puts({2}, 2), nullptr, on_phase2);
+  d.sim().RunFor(5 * kSecond);
+
+  EXPECT_EQ(phase2, 3);
+  ASSERT_EQ(d.edge().log().size(), 3u);
+  for (BlockId b = 0; b < 3; ++b) {
+    EXPECT_EQ(d.edge().log().GetBlock(b)->entries.size(), 1u) << b;
+  }
+  // The kv blocks are the first and last; the append sits between them.
+  EXPECT_TRUE(d.edge().lsm().Lookup(1).found);
+  EXPECT_TRUE(d.edge().lsm().Lookup(2).found);
+  EXPECT_EQ(d.edge().log().GetBlock(1)->entries[0].payload, Bytes(100, 7));
 }
 
 TEST(CoreAddTest, MultipleBlocksCertifiedIndependently) {
@@ -112,8 +173,9 @@ TEST(CoreAddTest, MultipleBlocksCertifiedIndependently) {
 }
 
 TEST(CoreAddTest, EntriesSpanningBlocksGetMultipleResponses) {
-  // 10 entries at 4 ops/block: blocks 0 and 1 complete; the rest flush by
-  // timer. The client Phase-I's on the first response.
+  // 10 entries at 4 ops/block: blocks 0 and 1 complete; the rest close
+  // once the request is applied. The client Phase-I's on the first
+  // response.
   Deployment d(BaseConfig());
   d.Start();
   int phase1_fires = 0;

@@ -436,6 +436,34 @@ TEST(FaultRecoveryTest, CertifyRetryDrainsBacklogWithoutNewWrites) {
   EXPECT_GE(d.edge().stats().certify_retries, 1u);
 }
 
+TEST(FaultRecoveryTest, SteadyWritesOverHealthyWanNeverRetryCertifies) {
+  // Under steady writes the edge always has a fresh certify in flight
+  // when its retry timer fires; only one older than the backoff counts
+  // as lost. Phase II here takes about one California-Virginia round
+  // trip, well inside the 200 ms backoff, so nothing is ever re-sent.
+  DeploymentConfig cfg;
+  cfg.seed = 11;
+  cfg.net.jitter_frac = 0.0;
+  Deployment d(cfg);
+  d.Start();
+
+  int phase2 = 0;
+  constexpr int kWrites = 75;
+  for (int i = 0; i < kWrites; ++i) {
+    d.client().AddBatch(Payloads(1), nullptr,
+                        [&](const Status& s, BlockId, SimTime) {
+                          if (s.ok()) phase2++;
+                        });
+    d.sim().RunFor(40 * kMillisecond);
+  }
+  d.sim().RunFor(2 * kSecond);
+  EXPECT_EQ(phase2, kWrites);
+  EXPECT_EQ(d.edge().log().certified_count(), d.edge().log().size());
+  EXPECT_GE(d.edge().stats().merges_completed, 1u);
+  EXPECT_EQ(d.edge().stats().certify_retries, 0u);
+  EXPECT_EQ(d.cloud().stats().duplicate_certifies, 0u);
+}
+
 TEST(FaultRecoveryTest, ShapedDelayAddsLatencyDeterministically) {
   auto cfg = ChaosDeployConfig();
   Deployment d(cfg);

@@ -396,6 +396,30 @@ TEST_F(LsmerkleTreeTest, CascadedMergeToLevel2) {
   EXPECT_EQ(r.level, 2u);
 }
 
+TEST_F(LsmerkleTreeTest, OverfullLevel1MergesBeforeOverfullL0) {
+  // Under steady writes L0 refills past its threshold while a merge is
+  // in flight; an L0-first order would never let L1 merge down.
+  BlockId bid = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      std::vector<std::pair<Key, std::string>> kvs;
+      for (int j = 0; j < 4; ++j) {
+        kvs.push_back({static_cast<Key>(round * 100 + i * 10 + j), "v"});
+      }
+      ASSERT_TRUE(tree_.ApplyBlock(MakePutBlock(bid++, kvs)).ok());
+    }
+    DoMerge(0);
+  }
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(tree_.ApplyBlock(MakePutBlock(bid++, {{900, "w"}})).ok());
+  }
+  ASSERT_GT(tree_.l0_count(), 2u);
+  ASSERT_GT(tree_.level(1).page_count(), 2u);
+  EXPECT_EQ(tree_.NeedsMerge().value(), 1u);
+  DoMerge(1);
+  EXPECT_EQ(tree_.NeedsMerge().value(), 0u);
+}
+
 TEST_F(LsmerkleTreeTest, InstallRejectsWrongGlobalRoot) {
   ASSERT_TRUE(tree_.ApplyBlock(MakePutBlock(0, {{1, "a"}})).ok());
   auto merged = *MergeIntoPages({Pair(1, "a", 0)}, {}, 4, 0);

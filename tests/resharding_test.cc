@@ -523,23 +523,6 @@ TEST(ReshardingStoreTest, OpenRejectsUnusableReshardingConfigs) {
     o.WithShards(2, ShardScheme::kHash).WithShardCapacity(4);
     EXPECT_TRUE(Store::Open(o).status().IsInvalidArgument());
   }
-  {
-    // A drain window shorter than the edge's partial-flush delay would
-    // let in-flight writes miss the migration export.
-    StoreOptions o = ReshardOptions(BackendKind::kWedge);
-    o.WithDrainDelay(10 * kMillisecond);  // < 2x 50ms partial flush
-    EXPECT_TRUE(Store::Open(o).status().IsInvalidArgument());
-  }
-  {
-    // The drain floor binds merge-capable configs too: two live range
-    // shards with no spare slot can still MergeShards, so a tiny drain
-    // is just as unsafe without any split capacity.
-    StoreOptions o;
-    o.WithOpsPerBlock(4)
-        .WithShards(2, ShardScheme::kRange, 1000)
-        .WithDrainDelay(10 * kMillisecond);
-    EXPECT_TRUE(Store::Open(o).status().IsInvalidArgument());
-  }
 }
 
 // Without a range_span there is no sane split point inside a slice that

@@ -16,7 +16,6 @@ DeploymentConfig BaseConfig() {
   cfg.edge.ops_per_block = 4;
   cfg.edge.lsm.level_thresholds = {3, 2, 8};
   cfg.edge.lsm.target_page_pairs = 8;
-  cfg.edge.partial_flush_delay = 30 * kMillisecond;
   return cfg;
 }
 

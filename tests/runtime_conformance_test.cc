@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <future>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -307,6 +310,59 @@ TEST(ThreadedRuntimeContractTest, LiveMigrationRunsUnderThreads) {
     ASSERT_TRUE(got.ok()) << "key " << k << ": " << got.status();
     EXPECT_EQ(got->value, Val(1));
   }
+}
+
+// Group commit on wall clock: a lone put's block closes as soon as the
+// edge has applied it, so Phase I is the real processing time, far
+// below the 4-op block's fill and any timer. The fastest of three puts
+// is taken so a scheduler hiccup on a loaded host cannot fail the test;
+// a timer would delay all three alike.
+TEST(ThreadedRuntimeContractTest, LonePutReachesPhase1WithoutWaiting) {
+  auto opened =
+      Store::Open(SmallOptions({BackendKind::kWedge, RuntimeKind::kThreaded}));
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  Store store = std::move(*opened);
+  ASSERT_TRUE(store.Put(1, Val(1)).WaitPhase2().ok());  // warm-up
+
+  auto fastest = std::chrono::steady_clock::duration::max();
+  for (Key k = 2; k < 5; ++k) {
+    const auto start = std::chrono::steady_clock::now();
+    CommitHandle h = store.Put(k, Val(2));
+    ASSERT_TRUE(h.WaitPhase1().ok());
+    fastest = std::min(fastest, std::chrono::steady_clock::now() - start);
+    ASSERT_TRUE(h.WaitPhase2().ok());
+  }
+  EXPECT_LT(fastest, std::chrono::milliseconds(10));
+}
+
+// Group commit under threads: puts delivered while the edge is busy
+// queue in its inbox, and the block closes only after the queued
+// messages ran, so they share one block.
+TEST(ThreadedRuntimeContractTest, PutsQueuedAtABusyEdgeShareOneBlock) {
+  auto opened =
+      Store::Open(SmallOptions({BackendKind::kWedge, RuntimeKind::kThreaded}));
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  Store store = std::move(*opened);
+  ASSERT_TRUE(store.Put(1, Val(1)).WaitPhase2().ok());  // warm-up
+
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  store.runtime()
+      .ExecutorFor(store.wedge().edge(0).id(), ExecRole::kDedicated)
+      ->Post([released] { released.wait(); });
+  std::vector<CommitHandle> puts;
+  for (Key k = 2; k < 5; ++k) puts.push_back(store.Put(k, Val(2)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  release.set_value();
+
+  std::vector<BlockId> blocks;
+  for (CommitHandle& h : puts) {
+    auto p1 = h.WaitPhase1();
+    ASSERT_TRUE(p1.ok()) << p1.status();
+    blocks.push_back(p1->block);
+  }
+  EXPECT_EQ(blocks[0], blocks[1]);
+  EXPECT_EQ(blocks[0], blocks[2]);
 }
 
 // WithAutoBalance opens (and runs) under threads now that the balancer's

@@ -243,6 +243,40 @@ TEST(ThreadedRuntimeTest, AfterFiresAsWallClockTimer) {
   rt.Shutdown();
 }
 
+TEST(ThreadedRuntimeTest, EarlierTimerArmedFromAnotherThreadFiresOnTime) {
+  ThreadedRuntime rt{RuntimeConfig{RuntimeKind::kThreaded}};
+  Executor* exec = rt.ExecutorFor(1, ExecRole::kDedicated);
+  auto fired_within = [](std::promise<void>& p, milliseconds limit,
+                         steady_clock::time_point start) {
+    return p.get_future().wait_for(std::chrono::seconds(5)) ==
+               std::future_status::ready &&
+           steady_clock::now() - start < limit;
+  };
+
+  // A worker with no timers idles in a long wait; a timer armed from
+  // this thread must cut it short.
+  std::this_thread::sleep_for(milliseconds(20));
+  std::promise<void> from_idle;
+  auto start = steady_clock::now();
+  exec->After(20 * kMillisecond, [&from_idle] { from_idle.set_value(); });
+  EXPECT_TRUE(fired_within(from_idle, milliseconds(500), start));
+
+  // The same for a worker waiting on a far-off head timer, whether the
+  // nearer timer is armed from this thread or on the worker's own.
+  exec->After(30 * kSecond, [] {});
+  std::this_thread::sleep_for(milliseconds(20));
+  std::promise<void> cross;
+  std::promise<void> own;
+  start = steady_clock::now();
+  exec->After(20 * kMillisecond, [&cross] { cross.set_value(); });
+  exec->Post([exec, &own] {
+    exec->After(40 * kMillisecond, [&own] { own.set_value(); });
+  });
+  EXPECT_TRUE(fired_within(cross, milliseconds(500), start));
+  EXPECT_TRUE(fired_within(own, milliseconds(500), start));
+  rt.Shutdown();
+}
+
 TEST(ThreadedRuntimeTest, ChargeRunsWithoutModeledDelay) {
   ThreadedRuntime rt{RuntimeConfig{RuntimeKind::kThreaded}};
   Executor* exec = rt.ExecutorFor(1, ExecRole::kDedicated);
